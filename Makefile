@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLiveness -fuzztime=$(FUZZTIME) ./internal/staticanalysis/dataflow/
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzCkptRoundTrip -fuzztime=$(FUZZTIME) ./internal/ckpt/
+	$(GO) test -fuzz=FuzzWarmTee -fuzztime=$(FUZZTIME) ./internal/cpu/
 
 ## bench: machine-readable perf/accuracy snapshot (BENCH_<date>.json).
 bench:

@@ -4,7 +4,10 @@
 // entries"), plus a branch target buffer and return-address stack.
 package bpred
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Outcome is a 2-bit saturating counter.
 type counter uint8
@@ -32,6 +35,8 @@ type DirPredictor interface {
 	Update(pc int64, taken bool)
 	// Name identifies the predictor.
 	Name() string
+	// clone returns an independent deep copy (see Unit.Clone).
+	clone() DirPredictor
 }
 
 // Bimodal is a PC-indexed table of 2-bit counters.
@@ -65,6 +70,12 @@ func (b *Bimodal) Predict(pc int64) bool { return b.table[pc&b.mask].taken() }
 func (b *Bimodal) Update(pc int64, taken bool) {
 	i := pc & b.mask
 	b.table[i] = b.table[i].update(taken)
+}
+
+func (b *Bimodal) clone() DirPredictor {
+	c := *b
+	c.table = slices.Clone(b.table)
+	return &c
 }
 
 // GShare is a global-history predictor XOR-indexing a counter table.
@@ -108,6 +119,12 @@ func (g *GShare) Update(pc int64, taken bool) {
 		g.history |= 1
 	}
 	g.history &= (1 << g.bits) - 1
+}
+
+func (g *GShare) clone() DirPredictor {
+	c := *g
+	c.table = slices.Clone(g.table)
+	return &c
 }
 
 // Combined is SimpleScalar's "comb" predictor: bimodal and gshare in
@@ -163,6 +180,14 @@ func (c *Combined) Update(pc int64, taken bool) {
 	c.gsh.Update(pc, taken)
 }
 
+func (c *Combined) clone() DirPredictor {
+	d := *c
+	d.bim = c.bim.clone().(*Bimodal)
+	d.gsh = c.gsh.clone().(*GShare)
+	d.meta = slices.Clone(c.meta)
+	return &d
+}
+
 // Static predictors for ablation baselines.
 
 // Static always predicts a fixed direction.
@@ -181,6 +206,8 @@ func (s Static) Predict(int64) bool { return s.Taken }
 
 // Update implements DirPredictor (no state).
 func (s Static) Update(int64, bool) {}
+
+func (s Static) clone() DirPredictor { return s }
 
 // BTB is a direct-mapped, tagged branch target buffer.
 type BTB struct {
@@ -325,6 +352,21 @@ func (u *Unit) Stats() Stats { return u.stats }
 // ResetStats zeroes statistics without clearing predictor state.
 func (u *Unit) ResetStats() { u.stats = Stats{} }
 
+// Clone returns an independent deep copy of the unit: direction
+// predictor tables and histories, BTB, RAS and statistics. The copy
+// predicts any branch sequence exactly as the original would.
+func (u *Unit) Clone() *Unit {
+	c := *u
+	c.Dir = u.Dir.clone()
+	btb := *u.BTB
+	btb.tags, btb.targets = slices.Clone(u.BTB.tags), slices.Clone(u.BTB.targets)
+	c.BTB = &btb
+	ras := *u.RAS
+	ras.stack = slices.Clone(u.RAS.stack)
+	c.RAS = &ras
+	return &c
+}
+
 // PredictCond predicts a conditional branch at pc and immediately
 // trains with the resolved outcome (execution-driven simulation knows
 // the truth at fetch time; the timing model charges the misprediction
@@ -445,4 +487,11 @@ func (p *PAg) Update(pc int64, taken bool) {
 		p.histories[i] |= 1
 	}
 	p.histories[i] &= uint16(1<<p.bits - 1)
+}
+
+func (p *PAg) clone() DirPredictor {
+	c := *p
+	c.histories = slices.Clone(p.histories)
+	c.table = slices.Clone(p.table)
+	return &c
 }

@@ -5,7 +5,10 @@
 // rates).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Replacement selects the victim policy of a set-associative cache.
 type Replacement string
@@ -173,6 +176,18 @@ func (c *Cache) Flush() {
 	c.stats = Stats{}
 }
 
+// clone returns an independent copy of c — contents, replacement
+// state (stamps, clock, Random's generator) and statistics — that
+// misses into next.
+func (c *Cache) clone(next Level) *Cache {
+	d := *c
+	d.next = next
+	d.tags = slices.Clone(c.tags)
+	d.dirty = slices.Clone(c.dirty)
+	d.stamp = slices.Clone(c.stamp)
+	return &d
+}
+
 // Access looks up the block containing addr, filling on miss, and
 // returns the total latency including any next-level latency.
 func (c *Cache) Access(addr int64, write bool) int {
@@ -303,6 +318,16 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 		return nil, err
 	}
 	return &Hierarchy{IL1: il1, DL1: dl1, L2: l2, Mem: mem}, nil
+}
+
+// Clone returns an independent deep copy of the hierarchy: every
+// level's contents, replacement state and statistics, wired the same
+// way (IL1 and DL1 over one shared L2 over memory). The copy answers
+// any access sequence exactly as the original would.
+func (h *Hierarchy) Clone() *Hierarchy {
+	mem := *h.Mem
+	l2 := h.L2.clone(&mem)
+	return &Hierarchy{IL1: h.IL1.clone(l2), DL1: h.DL1.clone(l2), L2: l2, Mem: &mem}
 }
 
 // Flush invalidates every level.

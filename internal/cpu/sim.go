@@ -86,6 +86,11 @@ type Sim struct {
 	lastFetchBlock int64
 
 	committed uint64
+
+	// feed, when non-nil, is the warm stream this context was forked
+	// from: every instruction fetched here is also applied to it
+	// exactly as Warm would apply it (see Fork).
+	feed *Sim
 }
 
 // New creates a cold detailed-simulation context.
@@ -101,18 +106,40 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSim(cfg, hier, bu, -1), nil
+}
+
+// newSim assembles a context with an empty pipeline around the given
+// memory system and branch unit.
+func newSim(cfg Config, hier *cache.Hierarchy, bu *bpred.Unit, lastFetchBlock int64) *Sim {
 	s := &Sim{
 		cfg:            cfg,
 		hier:           hier,
 		bu:             bu,
 		rob:            make([]robEntry, cfg.ROBSize),
-		lastFetchBlock: -1,
+		lastFetchBlock: lastFetchBlock,
 		nextSeq:        1,
 	}
 	for i := range s.regProducer {
 		s.regProducer[i] = -1
 	}
-	return s, nil
+	return s
+}
+
+// Fork returns a detailed context with an empty pipeline whose caches,
+// branch unit and last fetch block are copies of s's warm state, with
+// statistics reset as Warm leaves them — exactly the context New plus
+// Warm over s's history would produce. Every instruction the fork
+// fetches is also applied to s as Warm would apply it, so s stays one
+// continuous functional warm stream across the fork's detailed
+// windows: after the fork runs a window, s is in the state Warm over
+// the same instructions would have left it. The fork's own warming
+// (Warm, WarmCode) does not reach s.
+func (s *Sim) Fork() *Sim {
+	f := newSim(s.cfg, s.hier.Clone(), s.bu.Clone(), s.lastFetchBlock)
+	f.resetStats()
+	f.feed = s
+	return f
 }
 
 // MustNew is New, panicking on configuration errors.
@@ -520,11 +547,16 @@ func (s *Sim) warm(m *emu.Machine, insts uint64, data bool) error {
 		return err
 	}
 	// Warmup accesses must not pollute the measured statistics.
+	s.resetStats()
+	return nil
+}
+
+// resetStats zeroes the statistics RunWindow reports, keeping state.
+func (s *Sim) resetStats() {
 	s.hier.IL1.ResetStats()
 	s.hier.DL1.ResetStats()
 	s.hier.L2.ResetStats()
 	s.bu.ResetStats()
-	return nil
 }
 
 func (s *Sim) warmRun(m *emu.Machine, insts uint64, data bool) error {
@@ -533,29 +565,35 @@ func (s *Sim) warmRun(m *emu.Machine, insts uint64, data bool) error {
 		if err != nil {
 			return fmt.Errorf("cpu: warm step: %w", err)
 		}
-		blk := (info.PC * isa.InstBytes) & blockMask
-		if blk != s.lastFetchBlock {
-			s.hier.IL1.Access(info.PC*isa.InstBytes, false)
-			s.lastFetchBlock = blk
-		}
-		op := info.Inst.Op
-		if data && op.IsMem() {
-			s.hier.DL1.Access(info.MemAddr&blockMask, op.IsStore())
-		}
-		if op.IsBranch() {
-			switch op {
-			case isa.OpJal:
-				s.bu.PredictCall(info.PC, info.NextPC, info.PC+1)
-			case isa.OpJr:
-				s.bu.PredictReturn(info.PC, info.NextPC)
-			case isa.OpJmp:
-				s.bu.PredictJump(info.PC, info.NextPC)
-			default:
-				s.bu.PredictCond(info.PC, info.Taken, info.NextPC)
-			}
-		}
+		s.warmInst(info, data)
 	}
 	return nil
+}
+
+// warmInst applies one executed instruction to the caches and branch
+// predictor without timing.
+func (s *Sim) warmInst(info emu.StepInfo, data bool) {
+	blk := (info.PC * isa.InstBytes) & blockMask
+	if blk != s.lastFetchBlock {
+		s.hier.IL1.Access(info.PC*isa.InstBytes, false)
+		s.lastFetchBlock = blk
+	}
+	op := info.Inst.Op
+	if data && op.IsMem() {
+		s.hier.DL1.Access(info.MemAddr&blockMask, op.IsStore())
+	}
+	if op.IsBranch() {
+		switch op {
+		case isa.OpJal:
+			s.bu.PredictCall(info.PC, info.NextPC, info.PC+1)
+		case isa.OpJr:
+			s.bu.PredictReturn(info.PC, info.NextPC)
+		case isa.OpJmp:
+			s.bu.PredictJump(info.PC, info.NextPC)
+		default:
+			s.bu.PredictCond(info.PC, info.Taken, info.NextPC)
+		}
+	}
 }
 
 // fetch dispatches up to FetchWidth instructions from the emulator
@@ -597,6 +635,9 @@ func (s *Sim) fetchRun(m *emu.Machine, maxInsts, startInsts uint64) (bool, error
 		info, err := m.Step()
 		if err != nil {
 			return false, fmt.Errorf("cpu: functional step: %w", err)
+		}
+		if s.feed != nil {
+			s.feed.warmInst(info, true)
 		}
 		op := info.Inst.Op
 		isMem := op.IsMem()

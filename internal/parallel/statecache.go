@@ -43,7 +43,9 @@ type StateCache struct {
 	// (waits on an existing entry), counter parallel.state_cache.misses
 	// (builds), counter parallel.state_cache.ff_insts (instructions
 	// actually fast-forwarded by builds) and gauge
-	// parallel.state_cache.bytes (serialized footprint).
+	// parallel.state_cache.bytes (serialized footprint). Builds also
+	// add their count to pipeline.ff_insts, the executed fast-forward
+	// total of the plan executions the cache serves.
 	metrics *obs.Registry
 
 	mu      sync.Mutex
@@ -173,6 +175,7 @@ func (c *StateCache) build(ctx context.Context, base *stateEntry, pos uint64) (*
 		}
 	}
 	c.metrics.Counter("parallel.state_cache.ff_insts").Add(int64(ffed))
+	c.metrics.Counter("pipeline.ff_insts").Add(int64(ffed))
 	return m, nil
 }
 

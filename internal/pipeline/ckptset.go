@@ -69,7 +69,7 @@ func BuildCheckpointSet(p *prog.Program, plan *sampling.Plan, opts ExecOptions) 
 				plan.Benchmark, plan.Method, pi, m.Insts, ws)
 		}
 		if m.Insts < ws {
-			if err := fastForward(ctx, m, ws); err != nil {
+			if err := fastForward(ctx, m, ws, opts.Obs.Metrics()); err != nil {
 				return nil, fmt.Errorf("pipeline: checkpoint pass: %w", err)
 			}
 		}

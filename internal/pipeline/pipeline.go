@@ -1,6 +1,6 @@
 // Package pipeline orchestrates end-to-end sampled simulation: it
-// executes a sampling plan (functional fast-forward between points,
-// cold detailed simulation of each point), combines point metrics by
+// executes a sampling plan (functional fast-forward and warming between
+// points, detailed simulation of each point), combines point metrics by
 // weight into whole-program estimates, obtains ground truth from a
 // full detailed run, and evaluates both the paper's modeled speedups
 // and measured wall-clock splits.
@@ -43,6 +43,17 @@ type ExecOptions struct {
 	// scaled points entirely. The experiment harness therefore applies
 	// the same warmup policy to every method; the cold variant remains
 	// available for the cold-start ablation.
+	//
+	// Warming is not replayed per point. Consecutive points whose warm
+	// windows begin at the same instruction — every point under
+	// unbounded warmup (math.MaxUint64), and under a finite Warmup the
+	// points within Warmup instructions of program start — share one
+	// warm stream per scheduler chunk that moves forward once, fed by
+	// the points' own detailed windows, so a plan warms O(program)
+	// instructions instead of O(points × program). Each point's
+	// detailed context starts from a copy of the stream's caches and
+	// predictor, bit-identical to a cold context warmed over the
+	// point's whole window.
 	Warmup uint64
 
 	// DetailLeadIn, when non-zero, additionally simulates up to this
@@ -63,12 +74,16 @@ type ExecOptions struct {
 
 	// Workers selects how many simulation points execute concurrently.
 	// 0 picks GOMAXPROCS; 1 executes sequentially in line on the
-	// calling goroutine (no goroutines are spawned). Every point runs
-	// on its own fresh detailed context from functional state that is
-	// a pure function of its instruction position, so the resulting
-	// Estimate, point records and journal aggregates are bit-for-bit
-	// identical for every worker count (wall-clock fields excepted);
-	// see docs/PARALLELISM.md for the contract.
+	// calling goroutine (no goroutines are spawned). The scheduler
+	// splits the plan into contiguous chunks, each with its own machine
+	// and warm stream; splitting a shared warm stream makes the later
+	// chunk re-warm the prefix, which the chunk cost model weighs
+	// against the parallel gain. Every point runs on its own fresh
+	// detailed context whose functional and warm state are pure
+	// functions of its instruction position and warm start, so the
+	// resulting Estimate, point records and journal aggregates are
+	// bit-for-bit identical for every worker count (wall-clock fields
+	// excepted); see docs/PARALLELISM.md for the contract.
 	Workers int
 
 	// Ctx, when non-nil, cancels plan execution: in-flight points
@@ -224,12 +239,17 @@ func FullDetailed(p *prog.Program, cfg cpu.Config) (cpu.Result, time.Duration, e
 // same schedule.
 type pointTask struct {
 	skip uint64 // plain fast-forward beyond the previous point's reach
-	warm uint64 // functional warming (may replay earlier points' regions)
+	warm uint64 // depth of warm history (may cover earlier points' regions)
 	lead uint64 // discarded detailed lead-in
 	tail uint64 // discarded detailed run-ahead
 	// warmStart is the instruction position warming begins at:
 	// pt.Start - lead - warm.
 	warmStart uint64
+	// warmInc is the warming this point adds to its warm stream. A
+	// point whose warm start equals the previous point's continues
+	// that point's stream, so only the gap since the previous run-ahead
+	// end is newly warmed; otherwise warmInc == warm.
+	warmInc uint64
 }
 
 // planTasks derives the per-point execution budgets.
@@ -272,29 +292,43 @@ func planTasks(plan *sampling.Plan, opts ExecOptions) ([]pointTask, error) {
 		if warmStart > cursor {
 			skip = warmStart - cursor
 		}
-		tasks[pi] = pointTask{skip: skip, warm: warm, lead: lead, tail: tail, warmStart: warmStart}
+		task := pointTask{skip: skip, warm: warm, lead: lead, tail: tail, warmStart: warmStart, warmInc: warm}
+		if pi > 0 && warmStart == tasks[pi-1].warmStart {
+			task.warmInc = pt.Start - lead - cursor
+		}
+		tasks[pi] = task
 		cursor = pt.End + tail
 	}
 	return tasks, nil
 }
 
-// runPoint executes one simulation point on a fresh detailed context.
-// m must be positioned at the task's warm start; it advances through
-// warming, lead-in, the measured region and run-ahead. t0 is when this
-// point's functional phase (fast-forward or state materialization)
-// began, so the wall split charges state reconstruction to the point.
-func runPoint(m *emu.Machine, cfg cpu.Config, reg *obs.Registry, plan *sampling.Plan, pi int, task pointTask, opts ExecOptions, t0 time.Time) (PointRecord, error) {
+// runPoint executes one simulation point. m sits inside the point's
+// warm stream: warmer has warmed over every instruction from the
+// task's warm start to m's position. runPoint warms the stream up to
+// the point's boundary (pt.Start - lead) and simulates the point on a
+// fresh detailed context carrying the stream's warm state — a Fork of
+// warmer when keep is set, so the window's instructions flow back into
+// warmer and it continues to the next point; otherwise warmer itself,
+// which is then spent. Either way the detailed context is in the state
+// a cold cpu.Sim warmed over the task's whole warm window would be,
+// so results do not depend on how points share streams. t0 is when
+// this point's functional phase (fast-forward, restore or state
+// materialization) began, so the wall split charges state
+// reconstruction to the point.
+func runPoint(m *emu.Machine, warmer *cpu.Sim, keep bool, reg *obs.Registry, plan *sampling.Plan, pi int, task pointTask, opts ExecOptions, t0 time.Time) (PointRecord, error) {
 	pt := plan.Points[pi]
-	sim, err := cpu.New(cfg)
-	if err != nil {
-		return PointRecord{}, err
-	}
-	sim.Metrics = reg
-	if task.warm > 0 {
-		if err := sim.Warm(m, task.warm); err != nil {
+	if boundary := pt.Start - task.lead; m.Insts < boundary {
+		n := boundary - m.Insts
+		if err := warmer.Warm(m, n); err != nil {
 			return PointRecord{}, err
 		}
+		reg.Counter("pipeline.warmed_insts").Add(int64(n))
 	}
+	sim := warmer
+	if keep {
+		sim = warmer.Fork()
+	}
+	sim.Metrics = reg
 	// The machine now sits at the point's boundary (pt.Start - lead).
 	// Record the static live-in set there — the portable-checkpoint
 	// storage schema — and, under the soundness harness, scrub the
@@ -316,7 +350,8 @@ func runPoint(m *emu.Machine, cfg cpu.Config, reg *obs.Registry, plan *sampling.
 		// cache and branch predictor (data state is left untouched; see
 		// cpu.WarmCode), so the point measures the steady-state
 		// behaviour of the phase it represents rather than one-time
-		// code-fill transients.
+		// code-fill transients. The dry run stays on this point's
+		// context; the warm stream never sees it.
 		if err := sim.WarmCode(m.Clone(), pt.Len()); err != nil {
 			return PointRecord{}, err
 		}
@@ -324,11 +359,15 @@ func runPoint(m *emu.Machine, cfg cpu.Config, reg *obs.Registry, plan *sampling.
 	wallFunc := time.Since(t0)
 
 	t0 = time.Now()
+	before := m.Insts
 	res, err := sim.RunWindow(m, task.lead, pt.Len(), task.tail)
 	wallDet := time.Since(t0)
 	if err != nil {
 		return PointRecord{}, fmt.Errorf("pipeline: detailed point %d [%d,%d) in %s/%s: %w",
 			pi, pt.Start, pt.End, plan.Benchmark, plan.Method, err)
+	}
+	if keep {
+		reg.Counter("pipeline.warmed_insts").Add(int64(m.Insts - before))
 	}
 	if res.Insts != pt.Len() {
 		return PointRecord{}, fmt.Errorf("pipeline: point %d [%d,%d) in %s/%s simulated %d instructions, want %d",
@@ -396,6 +435,13 @@ func scrubDeadRegs(m *emu.Machine, li sampling.LiveIn) {
 // concurrently, and a deterministic merge orders the outcome by plan
 // index — estimates are bit-for-bit identical for every worker count.
 func ExecutePlan(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts ExecOptions) (*Estimate, error) {
+	return executePlan(p, plan, cfg, opts, nil)
+}
+
+// executePlan is ExecutePlan on a given chunk partition of the points;
+// nil selects the cost-aware schedule. The partition never changes
+// results, which is what lets tests force any split.
+func executePlan(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts ExecOptions, chunks []parallel.Chunk) (*Estimate, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -435,14 +481,22 @@ func ExecutePlan(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts Exec
 	defer span.End()
 	reg := opts.Obs.Metrics()
 
+	if chunks == nil {
+		chunks = planPartition(plan, tasks, workers, opts.Checkpoints != nil)
+	}
 	recs := make([]PointRecord, len(plan.Points))
-	if err := executePoints(ctx, p, plan, cfg, reg, tasks, opts, workers, recs); err != nil {
+	if err := executePoints(ctx, p, plan, cfg, reg, tasks, opts, chunks, recs); err != nil {
 		return nil, err
 	}
+	return mergeEstimate(plan, cfg.Name, recs, opts.Obs), nil
+}
 
-	// Deterministic merge: aggregate and journal in plan-index order,
-	// so weighted sums, journal streams and worst-case bookkeeping are
-	// independent of worker count and completion order.
+// mergeEstimate is the deterministic merge: it aggregates and journals
+// the point records in plan-index order, so weighted sums, journal
+// streams and worst-case bookkeeping are independent of worker count
+// and completion order.
+func mergeEstimate(plan *sampling.Plan, cfgName string, recs []PointRecord, rt *obs.Runtime) *Estimate {
+	reg := rt.Metrics()
 	est := &Estimate{
 		Benchmark:       plan.Benchmark,
 		Method:          plan.Method,
@@ -467,17 +521,17 @@ func ExecutePlan(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts Exec
 		l1Num += rec.Weight * float64(rec.L1Hits) * perInst
 		l2Den += rec.Weight * float64(rec.L2Accesses) * perInst
 		l2Num += rec.Weight * float64(rec.L2Hits) * perInst
-		journalPoint(opts.Obs, plan, cfg.Name, *rec)
+		journalPoint(rt, plan, cfgName, *rec)
 	}
 	reg.Counter("pipeline.points_executed").Add(int64(len(plan.Points)))
 	reg.Counter("pipeline.detailed_insts").Add(int64(est.DetailedInsts))
-	reg.Counter("pipeline.functional_insts").Add(int64(est.FunctionalInsts))
+	reg.Counter("pipeline.plan_functional_insts").Add(int64(est.FunctionalInsts))
 	est.L1Hit = ratioOr1(l1Num, l1Den)
 	est.L2Hit = ratioOr1(l2Num, l2Den)
-	opts.Obs.Emit("estimate", map[string]any{
+	rt.Emit("estimate", map[string]any{
 		"benchmark":          est.Benchmark,
 		"method":             est.Method,
-		"config":             cfg.Name,
+		"config":             cfgName,
 		"cpi":                est.CPI,
 		"l1_hit":             est.L1Hit,
 		"l2_hit":             est.L2Hit,
@@ -488,7 +542,7 @@ func ExecutePlan(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts Exec
 		"wall_detailed_ns":   est.WallDetailed.Nanoseconds(),
 		"wall_functional_ns": est.WallFunctional.Nanoseconds(),
 	})
-	return est, nil
+	return est
 }
 
 // Cost-model factors for the chunked point scheduler, in units of one
@@ -500,10 +554,11 @@ func ExecutePlan(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts Exec
 const (
 	warmCostFactor   = 8
 	detailCostFactor = 64
-	// minChunkCost keeps a chunk worth at least a few milliseconds of
-	// work (~2M fast-forward-instruction equivalents), so the scheduler
-	// never splits below what a checkpoint restore costs to set up.
-	minChunkCost = 1 << 21
+	// minChunkCost keeps every chunk worth at least about one chunk
+	// set-up — a fresh 8 MiB machine and detailed context, ~2 ms or
+	// ~0.5M fast-forwarded instructions at ~190 M inst/s — so the
+	// scheduler never splits work too small to pay for its own start.
+	minChunkCost = 1 << 19
 	// ckptRestoreCost is the chunk-startup estimate under checkpoint-
 	// backed execution, in the same fast-forward-instruction units:
 	// decoding registers plus replaying the touched pages of a typical
@@ -512,22 +567,46 @@ const (
 	ckptRestoreCost = 1 << 16
 )
 
-// taskCost estimates one point's execution cost for the partitioner.
+// taskCost estimates one point's execution cost for the partitioner
+// when its chunk has already started: only the warming the point adds
+// to its stream counts, not the warm history it inherits.
 func taskCost(t pointTask, ptLen uint64) float64 {
 	return float64(t.skip) +
-		warmCostFactor*float64(t.warm) +
+		warmCostFactor*float64(t.warmInc) +
 		detailCostFactor*float64(t.lead+ptLen+t.tail)
+}
+
+// chunkStartCost estimates what a chunk starting at task t pays before
+// t's own cost: positioning a machine at the warm start (fast-forward
+// from program start, or a checkpoint restore) plus, for a point that
+// shares its predecessor's warm start, the warm prefix from the warm
+// start to where t's incremental warm begins — the stream a chunk
+// starting mid-stream must rebuild.
+func chunkStartCost(t pointTask, ckptBacked bool) float64 {
+	position := float64(t.warmStart)
+	if ckptBacked {
+		// Checkpoint restore replaces the fast-forward to the warm start
+		// with an O(checkpoint size) state load, a small constant
+		// instead of proportional to the warm-start position. This
+		// frees the partitioner to open more chunks for
+		// deep-in-the-program plans — exactly the plans plain
+		// fast-forward keeps nearly sequential.
+		position = ckptRestoreCost
+	}
+	return position + warmCostFactor*float64(t.warm-t.warmInc)
 }
 
 // planPartition derives the cost-aware chunk schedule for a plan: a
 // pure function of (plan, tasks, workers) and the host's GOMAXPROCS,
 // so every worker observes the same partition. A chunk's startup
-// estimate is the full fast-forward to its first warm start —
-// pessimistic when a shared cache already holds nearby states, which
-// only biases toward fewer chunks. The worker budget is clamped to
-// GOMAXPROCS before partitioning: chunks beyond the cores actually
-// available cannot shorten the real makespan, only time-slice against
-// each other, so a -workers value above the machine (and in
+// estimate is chunkStartCost of its first point — pessimistic when a
+// shared cache already holds nearby states, which only biases toward
+// fewer chunks. Under unbounded warmup every point shares warm start
+// 0, so splitting a plan re-warms the prefix up to each extra chunk's
+// first point; the model charges exactly that. The worker budget is
+// clamped to GOMAXPROCS before partitioning: chunks beyond the cores
+// actually available cannot shorten the real makespan, only time-slice
+// against each other, so a -workers value above the machine (and in
 // particular any workers>1 on a single-core host) degenerates to the
 // sequential schedule instead of a guaranteed loss. Results are
 // bit-identical for every partition, so the clamp affects wall time
@@ -536,20 +615,10 @@ func planPartition(plan *sampling.Plan, tasks []pointTask, workers int, ckptBack
 	if g := runtime.GOMAXPROCS(0); workers > g {
 		workers = g
 	}
-	startCost := func(i int) float64 { return float64(tasks[i].warmStart) }
-	if ckptBacked {
-		// Checkpoint restore replaces the fast-forward to the chunk's
-		// first warm start with an O(checkpoint size) state load, so
-		// chunk startup is a small constant instead of proportional to
-		// the warm-start position. This frees the partitioner to open
-		// more chunks for deep-in-the-program plans — exactly the plans
-		// plain fast-forward keeps nearly sequential.
-		startCost = func(int) float64 { return ckptRestoreCost }
-	}
 	return parallel.PartitionChunks(len(plan.Points), parallel.ChunkOptions{
 		Workers:      workers,
 		Cost:         func(i int) float64 { return taskCost(tasks[i], plan.Points[i].Len()) },
-		StartCost:    startCost,
+		StartCost:    func(i int) float64 { return chunkStartCost(tasks[i], ckptBacked) },
 		MinChunkCost: minChunkCost,
 	})
 }
@@ -566,76 +635,62 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 	return len(planPartition(plan, tasks, workers, opts.Checkpoints != nil)), nil
 }
 
-// executePoints runs the points through the cost-aware chunk
-// scheduler. Each chunk materializes one machine at its first point's
-// warm start from the shared state cache, then *chains* it through the
-// chunk's remaining points: after runPoint the machine sits exactly at
-// the next task's fast-forward cursor (planTasks guarantees
-// cursor = pt.End + tail), so within a chunk no checkpoint is ever
-// saved or restored and no fast-forward work is repeated. Chunks are
-// contiguous and cost-balanced, and the chunk count adapts to the work
-// available — one chunk is exactly the sequential workers==1 loop — so
-// parallel execution never regresses below sequential. Functional
-// state remains a pure function of instruction position, which keeps
-// results bit-identical for every worker count and partition.
-func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cfg cpu.Config, reg *obs.Registry, tasks []pointTask, opts ExecOptions, workers int, recs []PointRecord) error {
+// executePoints runs the points in the given chunks, one worker per
+// chunk. Each chunk materializes one machine at its first point's
+// warm start — from the checkpoint set when one is given, else from
+// the shared state cache — then *chains* it through the chunk's
+// remaining points: after runPoint the machine sits exactly at the
+// next task's fast-forward cursor (planTasks guarantees
+// cursor = pt.End + tail), so within a chunk no fast-forward work is
+// repeated. Warming chains the same way: consecutive points that share
+// a warm start (every point under unbounded warmup) share one warming
+// cpu.Sim, the chunk's warm stream, which moves forward once through
+// the incremental warm gaps and the detailed windows (see runPoint)
+// instead of each point replaying its whole warm window on a cold
+// context. A point with a different warm start opens a new stream.
+// Chunks are contiguous and cost-balanced, and the chunk count adapts
+// to the work available — one chunk is exactly the sequential
+// workers==1 loop — so parallel execution never regresses below
+// sequential. Functional and warm state remain pure functions of
+// instruction position and warm start, which keeps results
+// bit-identical for every worker count and partition.
+func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cfg cpu.Config, reg *obs.Registry, tasks []pointTask, opts ExecOptions, chunks []parallel.Chunk, recs []PointRecord) error {
 	cache := opts.Cache
 	if cache == nil || cache.Program() != p {
 		cache = parallel.NewStateCache(p, 0, reg)
 	}
 	set := opts.Checkpoints
-	chunks := planPartition(plan, tasks, workers, set != nil)
 	reg.Gauge("pipeline.plan_chunks").Set(float64(len(chunks)))
 	stage := opts.Obs.Progress().Stage("pipeline.points")
 	stage.AddTotal(int64(len(plan.Points)))
 	return parallel.ForEachOpt(ctx, len(chunks), len(chunks), func(ctx context.Context, k int) error {
 		var m *emu.Machine
-		for pi := chunks[k].Start; pi < chunks[k].End; pi++ {
+		var warmer *cpu.Sim // the open warm stream, nil when none is
+		c := chunks[k]
+		for pi := c.Start; pi < c.End; pi++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			task := tasks[pi]
 			t0 := time.Now()
-			if set != nil && (m == nil || m.Insts != task.warmStart) {
-				// Checkpoint-backed: restore the point's warm-start state
-				// in O(checkpoint size) instead of fast-forwarding from
-				// program start. Chaining within a chunk still applies —
-				// a machine already sitting exactly at the warm start
-				// (planTasks' cursor invariant) is reused as-is, so the
-				// restored path does strictly less functional work.
-				// After the chunk's first point the machine is restored
-				// in place: NewMachine leaves dirty-page tracking on, so
-				// RestoreInto resets memory in O(touched pages) instead
-				// of paying a fresh memory image per point.
+			if warmer == nil {
+				// Open a warm stream: a cold context and a machine at the
+				// task's warm start.
 				var err error
-				if m == nil {
-					m, err = set.States[pi].NewMachine(p)
-				} else {
-					err = set.States[pi].RestoreInto(m)
+				if m, err = positionAt(ctx, m, p, plan, pi, task.warmStart, cache, set, reg); err != nil {
+					return err
 				}
-				if err != nil {
-					return fmt.Errorf("pipeline: checkpoint restore of point %d in %s: %w", pi, plan.Benchmark, err)
-				}
-				m.Metrics = reg
-				reg.Counter("pipeline.ckpt_restores").Add(1)
-			} else if m == nil || m.Insts > task.warmStart {
-				// First point of the chunk (or, defensively, a machine
-				// past the cursor): materialize from the shared cache,
-				// publishing the chunk-start state for other executions.
-				var err error
-				m, err = cache.MachineAt(ctx, task.warmStart)
-				if err != nil {
-					return fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
-				}
-				m.Metrics = reg
-			} else if m.Insts < task.warmStart {
-				if err := fastForward(ctx, m, task.warmStart); err != nil {
-					return fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
+				if warmer, err = cpu.New(cfg); err != nil {
+					return err
 				}
 			}
-			rec, err := runPoint(m, cfg, reg, plan, pi, task, opts, t0)
+			keep := pi+1 < c.End && tasks[pi+1].warmStart == task.warmStart
+			rec, err := runPoint(m, warmer, keep, reg, plan, pi, task, opts, t0)
 			if err != nil {
 				return err
+			}
+			if !keep {
+				warmer = nil
 			}
 			recs[pi] = rec
 			stage.Add(1)
@@ -644,11 +699,59 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 	}, parallel.ForEachOptions{Metrics: reg})
 }
 
+// positionAt returns a machine at instruction pos for point pi,
+// reusing m (the chunk's machine, nil before its first point) where it
+// can.
+func positionAt(ctx context.Context, m *emu.Machine, p *prog.Program, plan *sampling.Plan, pi int, pos uint64, cache *parallel.StateCache, set *ckpt.Set, reg *obs.Registry) (*emu.Machine, error) {
+	switch {
+	case m != nil && m.Insts == pos:
+		// The previous point's run-ahead ended exactly here
+		// (planTasks' cursor invariant): reuse the machine as-is.
+		return m, nil
+	case set != nil:
+		// Checkpoint-backed: restore the point's warm-start state in
+		// O(checkpoint size) instead of fast-forwarding from program
+		// start. After the chunk's first point the machine is restored
+		// in place: NewMachine leaves dirty-page tracking on, so
+		// RestoreInto resets memory in O(touched pages) instead of
+		// paying a fresh memory image per point.
+		var err error
+		if m == nil {
+			m, err = set.States[pi].NewMachine(p)
+		} else {
+			err = set.States[pi].RestoreInto(m)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: checkpoint restore of point %d in %s: %w", pi, plan.Benchmark, err)
+		}
+		m.Metrics = reg
+		reg.Counter("pipeline.ckpt_restores").Add(1)
+		return m, nil
+	case m == nil || m.Insts > pos:
+		// First point of the chunk, or a warm window reaching back
+		// past the machine: materialize from the shared cache,
+		// publishing the state for other executions.
+		m, err := cache.MachineAt(ctx, pos)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
+		}
+		m.Metrics = reg
+		return m, nil
+	default:
+		if err := fastForward(ctx, m, pos, reg); err != nil {
+			return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
+		}
+		return m, nil
+	}
+}
+
 // fastForward advances m to instruction position pos in cancellation-
 // checked slices (the in-chunk analogue of the state cache's build
-// loop).
-func fastForward(ctx context.Context, m *emu.Machine, pos uint64) error {
+// loop), counting the instructions into pipeline.ff_insts.
+func fastForward(ctx context.Context, m *emu.Machine, pos uint64, reg *obs.Registry) error {
 	const slice = 1 << 20
+	start := m.Insts
+	defer func() { reg.Counter("pipeline.ff_insts").Add(int64(m.Insts - start)) }()
 	for m.Insts < pos {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -407,3 +407,58 @@ func TestMeasuredRatesDegenerateError(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkCostModelSharedWarm pins the scheduler's cost model. A point
+// that shares its predecessor's warm start costs only the warming it
+// adds to the stream; a chunk that starts at it pays the warm prefix
+// it inherits as start-up, so start-up plus cost is always what the
+// point would cost replayed alone from its warm start.
+func TestChunkCostModelSharedWarm(t *testing.T) {
+	plan := &sampling.Plan{Benchmark: "t", Method: "m", TotalInsts: 4000, Points: []sampling.Point{
+		{Start: 1000, End: 1100, Weight: 0.5},
+		{Start: 1500, End: 1600, Weight: 0.25},
+		{Start: 3000, End: 3100, Weight: 0.25},
+	}}
+	// Every point: lead 200 + 100 measured + tail 50 in detail.
+	const detail = detailCostFactor * 350
+	cases := []struct {
+		warmup      uint64
+		warmInc     []uint64
+		cost, start []float64
+	}{
+		// Unbounded: all warm from 0. Increments are the gaps between
+		// one run-ahead end and the next lead-in: 800, 150, 1150.
+		{math.MaxUint64, []uint64{800, 150, 1150},
+			[]float64{warmCostFactor*800 + detail, warmCostFactor*150 + detail, warmCostFactor*1150 + detail},
+			[]float64{0, warmCostFactor * (1300 - 150), warmCostFactor * (2800 - 1150)}},
+		// 500: every warm start differs, each point warms 500 alone.
+		{500, []uint64{500, 500, 500},
+			[]float64{300 + warmCostFactor*500 + detail, warmCostFactor*500 + detail, 650 + warmCostFactor*500 + detail},
+			[]float64{300, 800, 2300}},
+	}
+	for _, c := range cases {
+		tasks, err := planTasks(plan, ExecOptions{Warmup: c.warmup, DetailLeadIn: 200, RunAhead: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, task := range tasks {
+			ptLen := plan.Points[i].Len()
+			if task.warmInc != c.warmInc[i] {
+				t.Errorf("warmup %d point %d: warmInc %d, want %d", c.warmup, i, task.warmInc, c.warmInc[i])
+			}
+			if got := taskCost(task, ptLen); got != c.cost[i] {
+				t.Errorf("warmup %d point %d: cost %v, want %v", c.warmup, i, got, c.cost[i])
+			}
+			if got := chunkStartCost(task, false); got != c.start[i] {
+				t.Errorf("warmup %d point %d: start-up %v, want %v", c.warmup, i, got, c.start[i])
+			}
+			if got, want := chunkStartCost(task, true), c.start[i]-float64(task.warmStart)+ckptRestoreCost; got != want {
+				t.Errorf("warmup %d point %d: checkpoint-backed start-up %v, want %v", c.warmup, i, got, want)
+			}
+			alone := float64(task.warmStart) + warmCostFactor*float64(task.warm) + detail
+			if got := chunkStartCost(task, false) + taskCost(task, ptLen) - float64(task.skip); got != alone {
+				t.Errorf("warmup %d point %d: chunk start-up + cost %v, want the lone replay cost %v", c.warmup, i, got, alone)
+			}
+		}
+	}
+}
