@@ -3,6 +3,8 @@
 package mlpa_test
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,16 +92,25 @@ func TestPublicAPIExtensions(t *testing.T) {
 		t.Fatalf("smarts points = %d", len(smPlan.Points))
 	}
 
+	// Replaying from checkpoints is Execute under the set's warm policy,
+	// bit for bit (wall-clock fields excepted).
 	ck, err := mlpa.MakeCheckpoints(program, smPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mlpa.ExecuteFromCheckpoints(program, ck, mlpa.ConfigB())
+	fromCk, err := mlpa.ExecuteFromCheckpoints(program, ck, mlpa.ConfigB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.CPI <= 0 {
-		t.Errorf("checkpointed estimate CPI = %v", est.CPI)
+	direct, err := mlpa.Execute(program, smPlan, mlpa.ConfigB(), mlpa.ExecOptions{
+		Warmup: ck.Policy.Warmup, DetailLeadIn: ck.Policy.DetailLeadIn, RunAhead: ck.Policy.RunAhead,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stripWall(fromCk), stripWall(direct)) {
+		t.Errorf("checkpointed estimate differs from direct execution:\n got CPI %v L1 %v L2 %v\nwant CPI %v L1 %v L2 %v",
+			fromCk.CPI, fromCk.L1Hit, fromCk.L2Hit, direct.CPI, direct.L1Hit, direct.L2Hit)
 	}
 
 	// Phase predictors through the facade.
@@ -161,4 +172,16 @@ func TestPublicAPISuiteAndConfigs(t *testing.T) {
 	if a.Caches.L2.TotalBytes >= b.Caches.L2.TotalBytes {
 		t.Error("config B should have the larger L2")
 	}
+}
+
+// stripWall zeroes an estimate's wall-clock fields, the only part that
+// differs between two executions of the same plan.
+func stripWall(est *mlpa.Estimate) *mlpa.Estimate {
+	c := *est
+	c.WallDetailed, c.WallFunctional = 0, 0
+	c.PointRecords = slices.Clone(est.PointRecords)
+	for i := range c.PointRecords {
+		c.PointRecords[i].WallFunctional, c.PointRecords[i].WallDetailed = 0, 0
+	}
+	return &c
 }

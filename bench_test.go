@@ -23,7 +23,6 @@ import (
 	"mlpa/internal/kmeans"
 	"mlpa/internal/linalg"
 	"mlpa/internal/multilevel"
-	"mlpa/internal/parallel"
 	"mlpa/internal/phase"
 	"mlpa/internal/phasepred"
 	"mlpa/internal/pipeline"
@@ -432,8 +431,9 @@ func BenchmarkPlanExecution(b *testing.B) {
 // BenchmarkPlanExecutionWorkers sweeps the same multi-level plan
 // across the ExecutePlan worker curve, so the cost-aware chunk
 // scheduler's parallel-is-never-a-loss property is measurable from
-// `go test -bench` alone. Each worker count gets a fresh state cache —
-// the cold-cache case the scheduler's startup model assumes.
+// `go test -bench` alone. Every iteration is a from-scratch execution:
+// each chunk positions its own machine, the case the scheduler's
+// startup model assumes.
 func BenchmarkPlanExecutionWorkers(b *testing.B) {
 	spec, err := bench.ByName("lucas")
 	if err != nil {
@@ -456,7 +456,6 @@ func BenchmarkPlanExecutionWorkers(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				opts.Cache = parallel.NewStateCache(p, 0, nil)
 				if _, err := pipeline.ExecutePlan(p, plan, config.BaseA(), opts); err != nil {
 					b.Fatal(err)
 				}
@@ -566,8 +565,9 @@ func BenchmarkSmartsSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointRoundTrip measures checkpoint creation plus
-// replay of a plan's points under configuration A.
+// BenchmarkCheckpointRoundTrip measures building a plan's checkpoint
+// set under the bounded warm policy plus executing the plan from it
+// under configuration A.
 func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	spec, err := bench.ByName("crafty")
 	if err != nil {
@@ -580,11 +580,13 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ck, err := pipeline.MakeCheckpoints(p, plan)
+		opts := pipeline.PolicyOptions(pipeline.BoundedPolicy)
+		set, err := pipeline.BuildCheckpointSet(p, plan, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := pipeline.ExecuteFromCheckpoints(p, ck, config.BaseA()); err != nil {
+		opts.Checkpoints = set
+		if _, err := pipeline.ExecutePlan(p, plan, config.BaseA(), opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,19 +11,6 @@ import (
 	"mlpa/internal/stats"
 )
 
-// Warm policy the `ckpt save` flow bakes into a set. Finite warmup is
-// what gives checkpoints something to skip: each point's warm start
-// then sits deep inside the program, and restoring it replaces the
-// functional fast-forward that position would otherwise cost. `ckpt
-// exec` never consults these constants — it replays under the policy
-// stored in the set's manifest, so a set built by any producer
-// executes consistently.
-const (
-	ckptSaveWarmup   = 1 << 16
-	ckptSaveLeadIn   = 512
-	ckptSaveRunAhead = 0
-)
-
 // runCkpt dispatches the portable-checkpoint subcommands:
 //
 //	mlpa ckpt save -dir d [-bench -method -size -seed]  build + persist a set
@@ -50,14 +37,9 @@ func runCkpt(f *flags, sub string) error {
 // ckptExecOptions is the execution policy a set prescribes: the warm
 // policy from its manifest plus this invocation's runtime knobs.
 func ckptExecOptions(f *flags, pol ckpt.Policy) pipeline.ExecOptions {
-	return pipeline.ExecOptions{
-		Warmup:       pol.Warmup,
-		DetailLeadIn: pol.DetailLeadIn,
-		RunAhead:     pol.RunAhead,
-		Workers:      f.workers,
-		Ctx:          f.ctx,
-		Obs:          f.rt,
-	}
+	opts := pipeline.PolicyOptions(pol)
+	opts.Workers, opts.Ctx, opts.Obs = f.workers, f.ctx, f.rt
+	return opts
 }
 
 func runCkptSave(f *flags) error {
@@ -78,8 +60,10 @@ func runCkptSave(f *flags) error {
 	if err != nil {
 		return err
 	}
-	pol := ckpt.Policy{Warmup: ckptSaveWarmup, DetailLeadIn: ckptSaveLeadIn, RunAhead: ckptSaveRunAhead}
-	set, err := pipeline.BuildCheckpointSet(p, plan, ckptExecOptions(f, pol))
+	// The bounded policy gives every point a warm start inside the
+	// program, so restoring replaces real fast-forward. `ckpt exec`
+	// replays under whatever policy the set's manifest records.
+	set, err := pipeline.BuildCheckpointSet(p, plan, ckptExecOptions(f, pipeline.BoundedPolicy))
 	if err != nil {
 		return err
 	}

@@ -89,7 +89,7 @@ func TestRunMeasuredRates(t *testing.T) {
 
 func TestRunCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"checkpoint", "-size", "tiny", "-bench", "crafty", "-method", "coasts", "-config", "A", "-dir", dir}); err != nil {
+	if err := run([]string{"ckpt", "save", "-size", "tiny", "-bench", "crafty", "-method", "coasts", "-dir", dir}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -99,7 +99,10 @@ func TestRunCheckpoint(t *testing.T) {
 	if len(entries) == 0 {
 		t.Error("no checkpoint files written")
 	}
-	if err := run([]string{"checkpoint", "-size", "tiny", "-bench", "crafty", "-method", "bogus"}); err == nil {
+	if err := run([]string{"ckpt", "exec", "-config", "A", "-dir", dir}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"ckpt", "save", "-size", "tiny", "-bench", "crafty", "-method", "bogus", "-dir", t.TempDir()}); err == nil {
 		t.Error("unknown method accepted")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"mlpa/internal/experiments"
 	"mlpa/internal/kmeans"
 	"mlpa/internal/linalg"
-	"mlpa/internal/parallel"
 	"mlpa/internal/pipeline"
 	"mlpa/internal/prog"
 )
@@ -204,7 +203,7 @@ func runMicro(f *flags) (*microReport, error) {
 	rep.KMeansWall = time.Since(t0).Nanoseconds()
 
 	// End-to-end: the first configured benchmark's multi-level plan at
-	// workers 1 and 4, sharing one state cache the way table2 does.
+	// workers 1 and 4.
 	o, err := f.options()
 	if err != nil {
 		return nil, err
@@ -251,7 +250,6 @@ func runMicro(f *flags) (*microReport, error) {
 		// comparison of near-equal quantities.
 		var wall int64
 		for attempt := 0; attempt < 3; attempt++ {
-			execOpts.Cache = parallel.NewStateCache(p, 0, f.rt.Metrics())
 			t0 := time.Now()
 			if _, err := pipeline.ExecutePlan(p, plan, configs[0], execOpts); err != nil {
 				return nil, err
@@ -322,8 +320,8 @@ func runMicro(f *flags) (*microReport, error) {
 		}
 	}
 
-	// Scratch walls use a private state cache per config (opts.Cache
-	// nil), the shape of independent sweep jobs; checkpoint-backed
+	// Scratch walls run each config as an independent job (a plan that
+	// rewinds builds its own private set per call); checkpoint-backed
 	// walls share nothing but the set. Both modes must agree exactly —
 	// the sweep is a perf comparison, never an accuracy trade.
 	var scratchTotal, ckptTotal int64

@@ -1,6 +1,7 @@
 package ckpt_test
 
 import (
+	"crypto/sha256"
 	"errors"
 	"os"
 	"path/filepath"
@@ -146,6 +147,49 @@ func TestEncodeRejectsUnscrubbedState(t *testing.T) {
 	}
 	if _, err := st.Encode(); !errors.Is(err, ckpt.ErrFormat) {
 		t.Fatalf("encode of unscrubbed state: %v, want ErrFormat", err)
+	}
+}
+
+// TestLiveInPCMismatchRejected: live-in masks describe one PC, so a
+// state whose live-in was recorded at another PC would be scrubbed by
+// the wrong masks. Encode refuses to write such a state and Decode
+// refuses to accept one, even under a valid integrity trailer.
+func TestLiveInPCMismatchRejected(t *testing.T) {
+	at := func(pc int64) *ckpt.State {
+		return &ckpt.State{PC: pc, LiveIn: sampling.LiveIn{PC: pc, Int: 0b110}, IntRegs: [32]int64{0, 7, 9}}
+	}
+	bad := at(5)
+	bad.LiveIn.PC = 6
+	if _, err := bad.Encode(); !errors.Is(err, ckpt.ErrFormat) {
+		t.Fatalf("encode of live-in pc 6 for state pc 5: %v, want ErrFormat", err)
+	}
+
+	// Splice the live-in PC of a state at pc 6 into the encoding of the
+	// same state at pc 5 and re-seal the trailer: only the scrub check
+	// can catch it.
+	a, err := at(5).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := at(6).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := a[:len(a)-sha256.Size]
+	var diffs []int
+	for i := range payload {
+		if payload[i] != b[i] {
+			diffs = append(diffs, i)
+		}
+	}
+	if len(a) != len(b) || len(diffs) != 2 {
+		t.Fatalf("encodings differ at %v (lengths %d, %d); want the PC and live-in PC bytes", diffs, len(a), len(b))
+	}
+	payload[diffs[1]] = b[diffs[1]]
+	sum := sha256.Sum256(payload)
+	spliced := append(payload, sum[:]...)
+	if _, err := ckpt.Decode(spliced); !errors.Is(err, ckpt.ErrFormat) {
+		t.Fatalf("decode of live-in pc 6 for state pc 5: %v, want ErrFormat", err)
 	}
 }
 

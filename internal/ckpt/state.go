@@ -11,9 +11,7 @@ import (
 	"mlpa/internal/sampling"
 )
 
-// stateMagic identifies one serialized point state. It is distinct
-// from the emulator's whole-machine snapshot magic (MLPACKP1): that
-// format is an internal full-memory image, this one is the portable
+// stateMagic identifies one serialized point state: the portable
 // scrubbed-minimal region checkpoint.
 var stateMagic = [8]byte{'M', 'L', 'P', 'A', 'C', 'K', 'S', '1'}
 
@@ -77,7 +75,7 @@ func Capture(m *emu.Machine, index int, li sampling.LiveIn) (*State, error) {
 		IntRegs: m.IntRegs,
 		FPRegs:  m.FPRegs,
 	}
-	scrubState(s)
+	li.Scrub(&s.IntRegs, &s.FPRegs)
 	if li.Mem {
 		for _, pg := range m.DirtyPages() {
 			words := make([]uint64, emu.PageWords)
@@ -98,25 +96,13 @@ func Capture(m *emu.Machine, index int, li sampling.LiveIn) (*State, error) {
 	return s, nil
 }
 
-// scrubState zeroes every register cell outside the live-in masks —
-// the same rule as the pipeline's boundary scrub: integer registers
-// from 1 (R0 is architecturally zero), all FP registers.
-func scrubState(s *State) {
-	for i := 1; i < len(s.IntRegs); i++ {
-		if s.LiveIn.Int&(1<<uint(i)) == 0 {
-			s.IntRegs[i] = 0
-		}
-	}
-	for i := range s.FPRegs {
-		if s.LiveIn.FP&(1<<uint(i)) == 0 {
-			s.FPRegs[i] = 0
-		}
-	}
-}
-
 // checkScrubbed verifies the stored register files honour the format's
-// scrub invariant.
+// scrub invariant, and that the live-in masks belong to the state's
+// own PC (masks computed elsewhere would scrub the wrong registers).
 func checkScrubbed(s *State) error {
+	if s.LiveIn.PC != s.PC {
+		return fmt.Errorf("%w: live-in recorded at pc %d, state at pc %d", ErrFormat, s.LiveIn.PC, s.PC)
+	}
 	if s.IntRegs[0] != 0 {
 		return fmt.Errorf("%w: R0 holds %d, must be zero", ErrFormat, s.IntRegs[0])
 	}

@@ -9,8 +9,8 @@ package emu
 // BlockCounts addition instead of one per instruction.
 //
 // The predecoded form is derived from Program.Code alone and cached on
-// the Program via its Aux cache, so the many short-lived Machines the
-// parallel state cache materializes share a single predecode pass.
+// the Program via its Aux cache, so every Machine built for a program
+// shares a single predecode pass.
 // Like the basic-block decomposition, it assumes Code is not mutated
 // after the first Machine is created.
 

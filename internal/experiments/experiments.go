@@ -228,9 +228,8 @@ func NewStudy(o Options) (*Study, error) {
 
 // execOpts is the plan-execution policy every Table II evaluation
 // runs under. The suite already fans out benchmark-wide, so each
-// plan's points run sequentially (the machine is not oversubscribed)
-// while the fast-forward cache is shared per benchmark.
-func (st *Study) execOpts(ctx context.Context, cache *parallel.StateCache) pipeline.ExecOptions {
+// plan's points run sequentially (the machine is not oversubscribed).
+func (st *Study) execOpts(ctx context.Context) pipeline.ExecOptions {
 	return pipeline.ExecOptions{
 		Warmup:       st.Opts.Warmup,
 		DetailLeadIn: st.Opts.DetailLeadIn,
@@ -238,7 +237,6 @@ func (st *Study) execOpts(ctx context.Context, cache *parallel.StateCache) pipel
 		Obs:          st.Opts.Obs,
 		Workers:      1,
 		Ctx:          ctx,
-		Cache:        cache,
 	}
 }
 
@@ -381,10 +379,10 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 	// The ground-truth and sampled simulations are independent per
 	// (benchmark, configuration) pair; run the benchmarks in parallel
 	// with each worker covering every configuration and method for its
-	// benchmark — one functional-state cache per benchmark then serves
-	// all of them, since architectural state is configuration-
-	// independent — and aggregate in suite order so worst cases and
-	// averages stay deterministic.
+	// benchmark — one checkpoint set per method then serves all of
+	// them, since architectural state is configuration-independent —
+	// and aggregate in suite order so worst cases and averages stay
+	// deterministic.
 	type devs struct{ cpi, l1, l2 [3]float64 }
 	span := st.Opts.Obs.StartSpan("experiments.table2", obs.KV("configs", len(configs)))
 	defer span.End()
@@ -397,7 +395,6 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 		if err != nil {
 			return err
 		}
-		cache := parallel.NewStateCache(p, 0, st.Opts.Obs.Metrics())
 		// Architectural state is configuration-independent, so one
 		// checkpoint set per method serves every sensitivity config in
 		// the sweep: the fast-forward to each point's warm start is paid
@@ -410,7 +407,7 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 			if err != nil {
 				return err
 			}
-			set, err := pipeline.BuildCheckpointSet(p, plan, st.execOpts(ctx, cache))
+			set, err := pipeline.BuildCheckpointSet(p, plan, st.execOpts(ctx))
 			if err != nil {
 				return fmt.Errorf("experiments: checkpoint set for %s/%s: %w", pl.Spec.Name, method, err)
 			}
@@ -430,7 +427,7 @@ func (st *Study) Table2(configs []cpu.Config) (*Table2Result, error) {
 				if err != nil {
 					return err
 				}
-				opts := st.execOpts(ctx, cache)
+				opts := st.execOpts(ctx)
 				opts.Checkpoints = sets[method]
 				est, err := pipeline.ExecutePlan(p, plan, cfg, opts)
 				if err != nil {

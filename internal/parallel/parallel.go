@@ -1,8 +1,7 @@
 // Package parallel provides the fan-out machinery shared by the
 // sampling pipeline and the experiment harness: a context-aware
-// indexed worker pool with deterministic error selection, and a
-// single-flight cache of functional machine states that lets
-// concurrent simulation points share fast-forward work.
+// indexed worker pool with deterministic error selection, and the
+// cost-aware chunk partitioner plan execution schedules points with.
 //
 // The package deliberately contains no simulation policy: callers
 // decide what runs per index and how results merge. Determinism is the

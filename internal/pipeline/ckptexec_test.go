@@ -122,7 +122,8 @@ func TestCheckpointBackedFromDisk(t *testing.T) {
 }
 
 // TestExecutePlanRejectsMismatchedSet: a set built for a different
-// warm policy, plan or program fails ExecutePlan up front with
+// warm policy, plan or program, or missing a point's state, fails
+// ExecutePlan up front with
 // ckpt.ErrMismatch instead of producing wrong estimates.
 func TestExecutePlanRejectsMismatchedSet(t *testing.T) {
 	suite := bench.Suite()
@@ -161,5 +162,74 @@ func TestExecutePlanRejectsMismatchedSet(t *testing.T) {
 
 	if _, err := ExecutePlan(other, plan, cfg, opts); !errors.Is(err, ckpt.ErrMismatch) {
 		t.Errorf("program mismatch: got %v, want ckpt.ErrMismatch", err)
+	}
+
+	short := *set
+	short.States = set.States[:len(set.States)-1]
+	opts.Checkpoints = &short
+	if _, err := ExecutePlan(p, plan, cfg, opts); !errors.Is(err, ckpt.ErrMismatch) {
+		t.Errorf("one state short: got %v, want ckpt.ErrMismatch", err)
+	}
+}
+
+// TestCheckpointedExecutionMatchesDirect: a checkpoint set built under
+// the bounded warm policy holds one state per plan point, and
+// ExecutePlan restoring from it reproduces direct execution under the
+// same policy exactly, under both Table I configurations from the one
+// set.
+func TestCheckpointedExecutionMatchesDirect(t *testing.T) {
+	spec, err := bench.ByName("crafty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := spec.MustProgram(bench.SizeTiny)
+	plan, _, _, err := simpoint.Select(p, simpoint.Config{
+		IntervalLen: bench.FineInterval(bench.SizeTiny), Kmax: 10, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := BuildCheckpointSet(p, plan, PolicyOptions(BoundedPolicy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.States) != len(plan.Points) {
+		t.Fatalf("checkpoints = %d, points = %d", len(set.States), len(plan.Points))
+	}
+	for _, cfg := range []cpu.Config{config.BaseA(), config.SensitivityB()} {
+		direct, err := ExecutePlan(p, plan, cfg, PolicyOptions(BoundedPolicy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := PolicyOptions(set.Policy)
+		opts.Checkpoints = set
+		fromCk, err := ExecutePlan(p, set.Plan, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stripWall(fromCk), stripWall(direct)) {
+			t.Errorf("config %s: checkpointed estimate differs from direct:\n got %s\nwant %s",
+				cfg.Name, dumpEstimate(stripWall(fromCk)), dumpEstimate(stripWall(direct)))
+		}
+	}
+}
+
+// TestExecuteFromCheckpointsMismatch: a set one state short of its
+// plan is rejected with ckpt.ErrMismatch rather than executed.
+func TestExecuteFromCheckpointsMismatch(t *testing.T) {
+	p := phasedProgram(t, 10)
+	plan, _, _, err := simpoint.Select(p, simpoint.Config{IntervalLen: 2000, Kmax: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := BuildCheckpointSet(p, plan, PolicyOptions(BoundedPolicy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.States = set.States[:len(set.States)-1]
+	opts := PolicyOptions(set.Policy)
+	opts.Checkpoints = set
+	if _, err := ExecutePlan(p, plan, config.BaseA(), opts); !errors.Is(err, ckpt.ErrMismatch) {
+		t.Errorf("mismatched checkpoint count: got %v, want ckpt.ErrMismatch", err)
 	}
 }

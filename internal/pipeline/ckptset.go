@@ -12,10 +12,26 @@ import (
 	"mlpa/internal/staticanalysis"
 )
 
+// BoundedPolicy is the bounded warm policy: 64K instructions of
+// functional warming and a 512-instruction detailed lead-in per point,
+// no run-ahead. The warm window is finite so every point's warm start
+// lies inside the program, which is what gives a checkpoint set
+// fast-forward to skip; an unbounded window pins every warm start to
+// instruction 0. The service executes every estimate under it, and
+// `mlpa ckpt save` and mlpa.MakeCheckpoints bake it into their sets.
+// Changing it changes the service's response bits and goldens.
+var BoundedPolicy = ckpt.Policy{Warmup: 1 << 16, DetailLeadIn: 512}
+
+// PolicyOptions returns execution options carrying warm policy pol and
+// nothing else; callers add workers, context and observability.
+func PolicyOptions(pol ckpt.Policy) ExecOptions {
+	return ExecOptions{Warmup: pol.Warmup, DetailLeadIn: pol.DetailLeadIn, RunAhead: pol.RunAhead}
+}
+
 // ckptPolicy extracts the warm-policy fingerprint a checkpoint set is
-// bound to from execution options. Only the fields that move the warm
-// starts participate: workers, caches and observability never change
-// what state a point needs.
+// bound to from execution options (the inverse of PolicyOptions). Only
+// the fields that move the warm starts participate: workers and
+// observability never change what state a point needs.
 func ckptPolicy(opts ExecOptions) ckpt.Policy {
 	return ckpt.Policy{Warmup: opts.Warmup, DetailLeadIn: opts.DetailLeadIn, RunAhead: opts.RunAhead}
 }

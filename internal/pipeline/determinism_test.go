@@ -10,7 +10,6 @@ import (
 	"mlpa/internal/config"
 	"mlpa/internal/cpu"
 	"mlpa/internal/obs"
-	"mlpa/internal/parallel"
 	"mlpa/internal/simpoint"
 )
 
@@ -112,13 +111,22 @@ func TestExecutePlanDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestExecutePlanSharedCacheDeterministic: reusing one state cache
-// across configurations and repeated runs must not change results.
+// TestExecutePlanSharedCacheDeterministic: a plan whose 3000-
+// instruction warm windows reach back past earlier points rewinds, so
+// ExecutePlan restores it from a private checkpoint set; that must not
+// change results across worker counts or repeated runs.
 func TestExecutePlanSharedCacheDeterministic(t *testing.T) {
 	p := phasedProgram(t, 30)
 	plan, _, _, err := simpoint.Select(p, simpoint.Config{IntervalLen: 2000, Kmax: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	tasks, err := planTasks(plan, ExecOptions{Warmup: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mustRewind(plan, tasks) {
+		t.Fatal("plan does not rewind; the test no longer covers the private-set path")
 	}
 	run := func(opts ExecOptions) *Estimate {
 		t.Helper()
@@ -129,38 +137,15 @@ func TestExecutePlanSharedCacheDeterministic(t *testing.T) {
 		return stripWall(est)
 	}
 	base := run(ExecOptions{Warmup: 3000, Workers: 1})
-	cache := parallel.NewStateCache(p, 0, nil)
 	for _, workers := range []int{1, 4} {
-		got := run(ExecOptions{Warmup: 3000, Workers: workers, Cache: cache})
+		got := run(ExecOptions{Warmup: 3000, Workers: workers})
 		if !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d with shared cache differs from private-cache run", workers)
+			t.Errorf("workers=%d differs from the first workers=1 run", workers)
 		}
 	}
-	// A second pass over the warm cache must be just as identical.
-	if got := run(ExecOptions{Warmup: 3000, Workers: 4, Cache: cache}); !reflect.DeepEqual(got, base) {
-		t.Error("second shared-cache pass differs")
-	}
-}
-
-// TestExecutePlanMismatchedCacheIgnored: a cache built for another
-// program must be ignored, not corrupt results.
-func TestExecutePlanMismatchedCacheIgnored(t *testing.T) {
-	p := phasedProgram(t, 20)
-	other := phasedProgram(t, 5)
-	plan, _, _, err := simpoint.Select(p, simpoint.Config{IntervalLen: 1000, Kmax: 6, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ExecutePlan(p, plan, config.BaseA(), ExecOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ExecutePlan(p, plan, config.BaseA(), ExecOptions{Workers: 2, Cache: parallel.NewStateCache(other, 0, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripWall(got), stripWall(want)) {
-		t.Error("mismatched cache changed results")
+	// A second pass must be just as identical.
+	if got := run(ExecOptions{Warmup: 3000, Workers: 4}); !reflect.DeepEqual(got, base) {
+		t.Error("second pass differs")
 	}
 }
 

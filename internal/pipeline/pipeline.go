@@ -91,13 +91,11 @@ type ExecOptions struct {
 	// context's error. A nil Ctx means context.Background().
 	Ctx context.Context
 
-	// Cache, when non-nil, is a shared functional-state cache for this
-	// plan's program: concurrent and repeated executions (for example
-	// the same plan under both Table I configurations) reuse each
-	// other's fast-forward work through it. It must have been created
-	// by parallel.NewStateCache for the same *prog.Program; a
-	// mismatched cache is ignored. Nil gives each ExecutePlan call a
-	// private cache.
+	// Cache is ignored.
+	//
+	// Deprecated: machines are positioned by fast-forward or restored
+	// from checkpoint states (see Checkpoints); set Checkpoints to
+	// share fast-forward work across executions.
 	Cache *parallel.StateCache
 
 	// Obs, when non-nil, receives per-point journal records, stage
@@ -125,6 +123,10 @@ type ExecOptions struct {
 	// journals stay bit-identical to from-scratch execution at every
 	// worker count. The set must match this program, plan and warm
 	// policy; a mismatch fails with an error wrapping ckpt.ErrMismatch.
+	//
+	// Without a set, each chunk fast-forwards its own machine. Only a
+	// plan that must rewind (see mustRewind) builds a private set with
+	// BuildCheckpointSet and restores from it.
 	Checkpoints *ckpt.Set
 }
 
@@ -340,7 +342,7 @@ func runPoint(m *emu.Machine, warmer *cpu.Sim, keep bool, reg *obs.Registry, pla
 			pi, plan.Benchmark, plan.Method, err)
 	}
 	if opts.ScrubDeadRegs {
-		scrubDeadRegs(m, livein)
+		livein.Scrub(&m.IntRegs, &m.FPRegs)
 	}
 	if opts.Warmup > 0 && task.warm < pt.Len() {
 		// The context would enter the point with less warmed history
@@ -409,21 +411,6 @@ func boundaryLiveIn(m *emu.Machine) (sampling.LiveIn, error) {
 	return sampling.LiveIn{PC: m.PC, Int: ints, FP: fps, Mem: mem}, nil
 }
 
-// scrubDeadRegs zeroes every register cell outside the live-in masks.
-// By liveness soundness this cannot change the execution.
-func scrubDeadRegs(m *emu.Machine, li sampling.LiveIn) {
-	for i := 1; i < len(m.IntRegs); i++ {
-		if li.Int&(1<<uint(i)) == 0 {
-			m.IntRegs[i] = 0
-		}
-	}
-	for i := range m.FPRegs {
-		if li.FP&(1<<uint(i)) == 0 {
-			m.FPRegs[i] = 0
-		}
-	}
-}
-
 // ExecutePlan performs the sampled simulation a plan describes and
 // returns the weighted estimates. Every point runs on a fresh detailed
 // context from functional state that is a pure function of its
@@ -454,11 +441,18 @@ func executePlan(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts Exec
 	if err != nil {
 		return nil, err
 	}
-	if opts.Checkpoints != nil {
+	set := opts.Checkpoints
+	if set != nil {
 		// A stale or foreign set must fail loudly up front, not silently
 		// produce estimates for a different program, plan or warm policy.
-		if err := opts.Checkpoints.Match(p, plan, ckptPolicy(opts)); err != nil {
+		if err := set.Match(p, plan, ckptPolicy(opts)); err != nil {
 			return nil, fmt.Errorf("pipeline: checkpoint set for %s/%s: %w", plan.Benchmark, plan.Method, err)
+		}
+	} else if mustRewind(plan, tasks) {
+		// A chunk's machine only moves forward; one forward pass
+		// captures every warm start such a plan reaches back to.
+		if set, err = BuildCheckpointSet(p, plan, opts); err != nil {
+			return nil, err
 		}
 	}
 	ctx := opts.Ctx
@@ -482,10 +476,10 @@ func executePlan(p *prog.Program, plan *sampling.Plan, cfg cpu.Config, opts Exec
 	reg := opts.Obs.Metrics()
 
 	if chunks == nil {
-		chunks = planPartition(plan, tasks, workers, opts.Checkpoints != nil)
+		chunks = planPartition(plan, tasks, workers, set != nil)
 	}
 	recs := make([]PointRecord, len(plan.Points))
-	if err := executePoints(ctx, p, plan, cfg, reg, tasks, opts, chunks, recs); err != nil {
+	if err := executePoints(ctx, p, plan, cfg, reg, tasks, opts, set, chunks, recs); err != nil {
 		return nil, err
 	}
 	return mergeEstimate(plan, cfg.Name, recs, opts.Obs), nil
@@ -599,11 +593,10 @@ func chunkStartCost(t pointTask, ckptBacked bool) float64 {
 // planPartition derives the cost-aware chunk schedule for a plan: a
 // pure function of (plan, tasks, workers) and the host's GOMAXPROCS,
 // so every worker observes the same partition. A chunk's startup
-// estimate is chunkStartCost of its first point — pessimistic when a
-// shared cache already holds nearby states, which only biases toward
-// fewer chunks. Under unbounded warmup every point shares warm start
-// 0, so splitting a plan re-warms the prefix up to each extra chunk's
-// first point; the model charges exactly that. The worker budget is
+// estimate is chunkStartCost of its first point. Under unbounded
+// warmup every point shares warm start 0, so splitting a plan re-warms
+// the prefix up to each extra chunk's first point; the model charges
+// exactly that. The worker budget is
 // clamped to GOMAXPROCS before partitioning: chunks beyond the cores
 // actually available cannot shorten the real makespan, only time-slice
 // against each other, so a -workers value above the machine (and in
@@ -632,13 +625,32 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	return len(planPartition(plan, tasks, workers, opts.Checkpoints != nil)), nil
+	ckptBacked := opts.Checkpoints != nil || mustRewind(plan, tasks)
+	return len(planPartition(plan, tasks, workers, ckptBacked)), nil
+}
+
+// mustRewind reports whether a chunk running the tasks in order would
+// need its machine behind where the previous point left it: some point
+// opens a new warm stream (its warm start differs from its
+// predecessor's) before the predecessor's run-ahead end. Under
+// unbounded warmup every point shares warm start 0, and with no
+// warmup every warm start lies at or after the previous run-ahead end,
+// so only a finite warmup longer than the spacing of some points
+// rewinds.
+func mustRewind(plan *sampling.Plan, tasks []pointTask) bool {
+	for pi := 1; pi < len(tasks); pi++ {
+		prevEnd := plan.Points[pi-1].End + tasks[pi-1].tail
+		if tasks[pi].warmStart != tasks[pi-1].warmStart && tasks[pi].warmStart < prevEnd {
+			return true
+		}
+	}
+	return false
 }
 
 // executePoints runs the points in the given chunks, one worker per
 // chunk. Each chunk materializes one machine at its first point's
-// warm start — from the checkpoint set when one is given, else from
-// the shared state cache — then *chains* it through the chunk's
+// warm start — restored from set when one is given, else fast-
+// forwarded from program start — then *chains* it through the chunk's
 // remaining points: after runPoint the machine sits exactly at the
 // next task's fast-forward cursor (planTasks guarantees
 // cursor = pt.End + tail), so within a chunk no fast-forward work is
@@ -654,12 +666,7 @@ func PlanChunks(plan *sampling.Plan, opts ExecOptions, workers int) (int, error)
 // sequential. Functional and warm state remain pure functions of
 // instruction position and warm start, which keeps results
 // bit-identical for every worker count and partition.
-func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cfg cpu.Config, reg *obs.Registry, tasks []pointTask, opts ExecOptions, chunks []parallel.Chunk, recs []PointRecord) error {
-	cache := opts.Cache
-	if cache == nil || cache.Program() != p {
-		cache = parallel.NewStateCache(p, 0, reg)
-	}
-	set := opts.Checkpoints
+func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cfg cpu.Config, reg *obs.Registry, tasks []pointTask, opts ExecOptions, set *ckpt.Set, chunks []parallel.Chunk, recs []PointRecord) error {
 	reg.Gauge("pipeline.plan_chunks").Set(float64(len(chunks)))
 	stage := opts.Obs.Progress().Stage("pipeline.points")
 	stage.AddTotal(int64(len(plan.Points)))
@@ -677,7 +684,7 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 				// Open a warm stream: a cold context and a machine at the
 				// task's warm start.
 				var err error
-				if m, err = positionAt(ctx, m, p, plan, pi, task.warmStart, cache, set, reg); err != nil {
+				if m, err = positionAt(ctx, m, p, plan, pi, task.warmStart, set, reg); err != nil {
 					return err
 				}
 				if warmer, err = cpu.New(cfg); err != nil {
@@ -701,8 +708,10 @@ func executePoints(ctx context.Context, p *prog.Program, plan *sampling.Plan, cf
 
 // positionAt returns a machine at instruction pos for point pi,
 // reusing m (the chunk's machine, nil before its first point) where it
-// can.
-func positionAt(ctx context.Context, m *emu.Machine, p *prog.Program, plan *sampling.Plan, pi int, pos uint64, cache *parallel.StateCache, set *ckpt.Set, reg *obs.Registry) (*emu.Machine, error) {
+// can: as-is when it already sits at pos, else restored from set when
+// there is one, else fast-forwarded (from program start for the
+// chunk's first point).
+func positionAt(ctx context.Context, m *emu.Machine, p *prog.Program, plan *sampling.Plan, pi int, pos uint64, set *ckpt.Set, reg *obs.Registry) (*emu.Machine, error) {
 	switch {
 	case m != nil && m.Insts == pos:
 		// The previous point's run-ahead ended exactly here
@@ -727,27 +736,22 @@ func positionAt(ctx context.Context, m *emu.Machine, p *prog.Program, plan *samp
 		m.Metrics = reg
 		reg.Counter("pipeline.ckpt_restores").Add(1)
 		return m, nil
-	case m == nil || m.Insts > pos:
-		// First point of the chunk, or a warm window reaching back
-		// past the machine: materialize from the shared cache,
-		// publishing the state for other executions.
-		m, err := cache.MachineAt(ctx, pos)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
-		}
+	case m != nil && m.Insts > pos:
+		// executePlan builds a set for every plan mustRewind flags.
+		return nil, fmt.Errorf("pipeline: internal error: point %d of %s/%s needs a machine at instruction %d behind the chunk's at %d, without a checkpoint set to restore from",
+			pi, plan.Benchmark, plan.Method, pos, m.Insts)
+	case m == nil:
+		m = emu.New(p, 0)
 		m.Metrics = reg
-		return m, nil
-	default:
-		if err := fastForward(ctx, m, pos, reg); err != nil {
-			return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
-		}
-		return m, nil
 	}
+	if err := fastForward(ctx, m, pos, reg); err != nil {
+		return nil, fmt.Errorf("pipeline: fast-forward in %s: %w", plan.Benchmark, err)
+	}
+	return m, nil
 }
 
 // fastForward advances m to instruction position pos in cancellation-
-// checked slices (the in-chunk analogue of the state cache's build
-// loop), counting the instructions into pipeline.ff_insts.
+// checked slices, counting the instructions into pipeline.ff_insts.
 func fastForward(ctx context.Context, m *emu.Machine, pos uint64, reg *obs.Registry) error {
 	const slice = 1 << 20
 	start := m.Insts

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -460,5 +461,50 @@ func TestChunkCostModelSharedWarm(t *testing.T) {
 				t.Errorf("warmup %d point %d: chunk start-up + cost %v, want the lone replay cost %v", c.warmup, i, got, alone)
 			}
 		}
+	}
+}
+
+// TestMustRewind pins the rewind predicate: a point opening a new warm
+// stream behind its predecessor's run-ahead end happens only under a
+// finite warmup longer than some point spacing. A chunk machine asked
+// to move backwards without a set to restore from is an error.
+func TestMustRewind(t *testing.T) {
+	planAt := func(starts ...uint64) *sampling.Plan {
+		plan := &sampling.Plan{Benchmark: "t", Method: "m", TotalInsts: 1 << 20}
+		for _, s := range starts {
+			plan.Points = append(plan.Points, sampling.Point{Start: s, End: s + 1000, Weight: 1 / float64(len(starts))})
+		}
+		return plan
+	}
+	near := planAt(200_000, 210_000, 220_000)
+	spread := planAt(200_000, 400_000, 600_000)
+	cases := []struct {
+		name   string
+		plan   *sampling.Plan
+		warmup uint64
+		want   bool
+	}{
+		{"unbounded", near, math.MaxUint64, false},
+		{"no warmup", near, 0, false},
+		{"64K close points", near, 1 << 16, true},
+		{"64K spread points", spread, 1 << 16, false},
+	}
+	for _, c := range cases {
+		tasks, err := planTasks(c.plan, ExecOptions{Warmup: c.warmup, DetailLeadIn: 512, RunAhead: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustRewind(c.plan, tasks); got != c.want {
+			t.Errorf("%s: mustRewind = %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	p := phasedProgram(t, 10)
+	m := emu.New(p, 0)
+	if _, err := m.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := positionAt(context.Background(), m, p, near, 1, 50, nil, nil); err == nil {
+		t.Error("positioning a machine backwards without a checkpoint set succeeded")
 	}
 }

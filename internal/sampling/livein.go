@@ -18,3 +18,22 @@ type LiveIn struct {
 	FP  uint32 `json:"fp"`
 	Mem bool   `json:"mem"`
 }
+
+// Scrub zeroes every register cell outside the masks: integer
+// registers from r1 (r0 is architecturally zero) and every FP
+// register. By liveness soundness the zeroed cells are never read
+// before being written, so a scrubbed machine executes exactly as the
+// unscrubbed one. It is the one scrub rule shared by the pipeline's
+// boundary scrub and the checkpoint format.
+func (li LiveIn) Scrub(ints *[32]int64, fps *[32]float64) {
+	for i := 1; i < len(ints); i++ {
+		if li.Int&(1<<uint(i)) == 0 {
+			ints[i] = 0
+		}
+	}
+	for i := range fps {
+		if li.FP&(1<<uint(i)) == 0 {
+			fps[i] = 0
+		}
+	}
+}

@@ -24,25 +24,6 @@ import (
 	"mlpa/internal/staticanalysis"
 )
 
-// Execution policy constants. These are part of the service contract:
-// together with the request they determine every response bit, so they
-// must not vary per request or per deployment without invalidating the
-// content-hash cache semantics.
-const (
-	// execWarmup is the functional-warming window per point (64k
-	// instructions, generous next to the service's tiny/small guests).
-	// It is finite so every point has a warm start strictly inside the
-	// program: that is what lets checkpoint sets replace the functional
-	// fast-forward to each point — an unbounded window would pin every
-	// warm start to instruction zero and leave nothing for a checkpoint
-	// to skip. Like every policy constant it is part of the service
-	// contract: changing it changes response bits and the goldens.
-	execWarmup = 1 << 16
-	// execDetailLeadIn is the detailed-mode lead-in discarded before
-	// each point's measurement.
-	execDetailLeadIn = 512
-)
-
 // Options configures a Server. The zero value is usable: every field
 // has a production default.
 type Options struct {
@@ -399,14 +380,14 @@ func (s *Server) computeEstimate(ctx context.Context, e *programEntry, req Reque
 	// differential harness), so the cache can only change wall time.
 	ckey := keyFor("ckpt", e.hash, req).hash()
 	set, disp, err := s.ckpts.get(ctx, ckey, func() (*ckpt.Set, error) {
-		return pipeline.BuildCheckpointSet(e.prog, plan, s.execOptions(ctx, e))
+		return pipeline.BuildCheckpointSet(e.prog, plan, s.execOptions(ctx))
 	})
 	if err != nil {
 		return nil, asAPIError(err)
 	}
 	*ckptDisp = disp
 	s.reg.Counter("serve.executions").Inc()
-	opts := s.execOptions(ctx, e)
+	opts := s.execOptions(ctx)
 	opts.Checkpoints = set
 	est, err := pipeline.ExecutePlan(e.prog, plan, cfg, opts)
 	if err != nil {
@@ -419,19 +400,17 @@ func (s *Server) computeEstimate(ctx context.Context, e *programEntry, req Reque
 	return b, nil
 }
 
-// execOptions is the server's fixed execution policy. Everything that
-// can influence result bits is a package constant or a server-lifetime
-// option, never per-request, so cached replays stay byte-identical
-// with fresh executions.
-func (s *Server) execOptions(ctx context.Context, e *programEntry) pipeline.ExecOptions {
-	return pipeline.ExecOptions{
-		Warmup:       execWarmup,
-		DetailLeadIn: execDetailLeadIn,
-		Workers:      s.opts.RequestWorkers,
-		Ctx:          ctx,
-		Cache:        e.states,
-		Obs:          s.rt,
-	}
+// execOptions is the server's fixed execution policy:
+// pipeline.BoundedPolicy, whose finite warm window gives every point a
+// warm start for a checkpoint set to restore. Everything that can
+// influence result bits is that policy or a server-lifetime option,
+// never per-request, so cached replays stay byte-identical with fresh
+// executions; changing the policy changes response bits and the
+// goldens.
+func (s *Server) execOptions(ctx context.Context) pipeline.ExecOptions {
+	opts := pipeline.PolicyOptions(pipeline.BoundedPolicy)
+	opts.Workers, opts.Ctx, opts.Obs = s.opts.RequestWorkers, ctx, s.rt
+	return opts
 }
 
 // intervalFor picks the fine interval length: an explicit override, the

@@ -176,7 +176,7 @@ func TestCoalescingIdenticalRequests(t *testing.T) {
 }
 
 // TestConcurrentDistinctMatchSingleShot: distinct concurrent requests
-// served with RequestWorkers > 1 and a shared state cache are
+// served with RequestWorkers > 1 and a shared checkpoint-set cache are
 // bit-identical to a sequential single-shot ExecutePlan with one
 // worker and no shared state — the service preserves the repo's
 // determinism contract under production concurrency.
@@ -221,11 +221,9 @@ func TestConcurrentDistinctMatchSingleShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := pipeline.ExecutePlan(entry.prog, plan, cfg, pipeline.ExecOptions{
-			Warmup:       execWarmup,
-			DetailLeadIn: execDetailLeadIn,
-			Workers:      1,
-		})
+		opts := pipeline.PolicyOptions(pipeline.BoundedPolicy)
+		opts.Workers = 1
+		est, err := pipeline.ExecutePlan(entry.prog, plan, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

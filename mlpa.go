@@ -27,6 +27,7 @@ package mlpa
 
 import (
 	"mlpa/internal/bench"
+	"mlpa/internal/ckpt"
 	"mlpa/internal/coasts"
 	"mlpa/internal/config"
 	"mlpa/internal/cpu"
@@ -196,8 +197,10 @@ type (
 	VLIConfig = vli.Config
 	// SmartsConfig parameterizes systematic statistical sampling.
 	SmartsConfig = smarts.Config
-	// Checkpoints holds per-point architectural snapshots.
-	Checkpoints = pipeline.Checkpoints
+	// Checkpoints is a checkpoint set: one architectural snapshot per
+	// plan point, taken at the point's warm start under the warm
+	// policy the set records.
+	Checkpoints = ckpt.Set
 	// PhasePredictor predicts the next interval's phase at run time.
 	PhasePredictor = phasepred.Predictor
 )
@@ -213,16 +216,20 @@ func SelectSmarts(p *Program, cfg SmartsConfig) (*Plan, error) {
 	return smarts.Select(p, cfg)
 }
 
-// MakeCheckpoints snapshots the architectural state ahead of every
-// simulation point in one functional pass.
+// MakeCheckpoints snapshots the architectural state at every
+// simulation point's warm start in one functional pass, under the
+// bounded warm policy (64K warmup, 512-instruction detailed lead-in).
 func MakeCheckpoints(p *Program, plan *Plan) (*Checkpoints, error) {
-	return pipeline.MakeCheckpoints(p, plan)
+	return pipeline.BuildCheckpointSet(p, plan, pipeline.PolicyOptions(pipeline.BoundedPolicy))
 }
 
 // ExecuteFromCheckpoints replays a plan's points from their snapshots
-// under a machine configuration.
+// under a machine configuration and the warm policy the set records.
+// The estimate is bit-identical to Execute under that policy.
 func ExecuteFromCheckpoints(p *Program, ck *Checkpoints, cfg MachineConfig) (*Estimate, error) {
-	return pipeline.ExecuteFromCheckpoints(p, ck, cfg)
+	opts := pipeline.PolicyOptions(ck.Policy)
+	opts.Checkpoints = ck
+	return pipeline.ExecutePlan(p, ck.Plan, cfg, opts)
 }
 
 // NewLastPhasePredictor returns the last-phase baseline predictor.
